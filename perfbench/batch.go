@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -26,9 +27,19 @@ type batchSpec struct {
 	name     string
 	episodes int // sub-inputs per pass
 	jobs     int // jobs per episode
-	// pretrain runs MLFS's imitation phase once per run on its own seeded
-	// trace; every episode starts from the trained state, so all measured
-	// rounds are policy-driven (decide + REINFORCE update).
+	// passSec is the host time of one pass's episodes at the reference
+	// speed (the README's host; pretraining not counted). A run makes
+	// round(--seconds / passSec) passes, at least one, so every commit
+	// takes its fastest repeats over the same number of passes.
+	passSec float64
+	// setupBuilds is how many times a pass builds each episode; the last
+	// build runs and every build's time is a set-up sample. Where a build
+	// takes well under a millisecond, one sample per episode would leave
+	// setup_s to the timer's and the collector's noise.
+	setupBuilds int
+	// pretrain runs MLFS's imitation phase at the start of every pass on
+	// a fixed trace; every episode starts from the trained state, so all
+	// measured rounds are policy-driven (decide + REINFORCE update).
 	pretrain bool
 	cluster  cluster.Config
 	// input builds episode k's workload: a trace or a streaming source.
@@ -50,16 +61,19 @@ const phillyJobsPerSec = 117325.0 / (18 * 7 * 24 * 3600)
 
 // testbedSpec: the host cost of an MLFS round grows with the backlog,
 // which on 80 GPUs swings with every big gang a trace happens to hold;
-// sixteen short traces per pass average that out where one long trace
-// gave 27 to 54 jobs per second across five seeds. 48 jobs is the
+// 24 short traces per pass average that out where one long trace gave
+// 27 to 54 jobs per second across five seeds. 48 jobs is the
 // smallest trace whose default arrival window (75 s per job) is not
 // raised to the one-hour floor of mlfs.DurationForCluster.
 var testbedSpec = batchSpec{
 	name:     "mlfs-testbed",
-	episodes: 16,
+	episodes: 24,
 	jobs:     48,
-	pretrain: true,
-	cluster:  cluster.PaperRealConfig(),
+	passSec:  11.25,
+	// Pretraining takes seconds; one build per episode is enough.
+	setupBuilds: 1,
+	pretrain:    true,
+	cluster:     cluster.PaperRealConfig(),
 	input: func(seed int64, jobs int) (*trace.Trace, trace.Source) {
 		return mlfs.GenerateTrace(jobs, seed, mlfs.DurationForCluster(jobs, 80)), nil
 	},
@@ -72,10 +86,12 @@ var testbedSpec = batchSpec{
 }
 
 var phillySpec = batchSpec{
-	name:     "philly-mlfh",
-	episodes: 4,
-	jobs:     400,
-	cluster:  cluster.PaperSimConfig(),
+	name:        "philly-mlfh",
+	episodes:    12,
+	jobs:        400,
+	passSec:     11.7,
+	setupBuilds: 16,
+	cluster:     cluster.PaperSimConfig(),
 	input: func(seed int64, jobs int) (*trace.Trace, trace.Source) {
 		return nil, philly.NewSynthetic(philly.SynthConfig{Jobs: jobs, Seed: seed, DurationSec: float64(jobs) / phillyJobsPerSec})
 	},
@@ -100,9 +116,18 @@ func subSeed(seed int64, k int) int64 {
 	return int64(z>>1) + 1
 }
 
-// pretrainIndex is the sub-seed index of the pretraining trace, apart
-// from the episode indices 0..K-1.
-const pretrainIndex = 1 << 20
+// pretrainSeed and pretrainIndex name the pretraining trace. It does
+// not depend on the run's seed, so every run and every pass does the
+// same set-up work and setup_s follows the program, not the input.
+const (
+	pretrainSeed  = 1004
+	pretrainIndex = 1 << 20
+)
+
+// maxRunFactor stops a batch run after the pass that ends beyond this
+// many times --seconds, so a host far slower than the reference one
+// still finishes within the run's time limit.
+const maxRunFactor = 5
 
 // tickSec is the simulator's default scheduling period.
 const tickSec = 60
@@ -225,10 +250,10 @@ type pretrained struct {
 	sched    sched.Scheduler
 }
 
-// runPretrain runs the imitation phase on the run's pretraining trace and
+// runPretrain runs the imitation phase on the pretraining trace and
 // encodes the scheduler state at its end.
-func (b batchSpec) runPretrain(seed int64, rec *recorder, st *stepStats) (*pretrained, error) {
-	ep, err := b.buildEpisode(seed, pretrainIndex, pretrainJobs, nil, rec, episodeMode{})
+func (b batchSpec) runPretrain(rec *recorder, st *stepStats) (*pretrained, error) {
+	ep, err := b.buildEpisode(pretrainSeed, pretrainIndex, pretrainJobs, nil, rec, episodeMode{})
 	if err != nil {
 		return nil, err
 	}
@@ -310,17 +335,21 @@ type batchRun struct {
 
 // passHooks observe a pass; either may be nil.
 type passHooks struct {
-	before func()            // before each episode's build
+	before func()            // after each episode's build, before its run
 	after  func(ep *episode) // after each episode's checks
 }
 
-// pass runs the pretraining (when the workload has one and pre is nil)
-// and all K episodes once.
-func (b batchSpec) pass(opts options, pre *pretrained, rec *recorder, st *stepStats, hooks passHooks) (*batchRun, error) {
-	out := &batchRun{pre: pre, results: make([]*metrics.Result, b.episodes)}
-	if b.pretrain && pre == nil {
+// setupS is the pass's set-up time: the pretraining plus the median
+// build time of an episode over all its builds.
+func (r *batchRun) setupS() float64 { return r.pretrainS + median(r.setups) }
+
+// pass runs the pretraining (when the workload has one) and all K
+// episodes once.
+func (b batchSpec) pass(opts options, rec *recorder, st *stepStats, hooks passHooks) (*batchRun, error) {
+	out := &batchRun{results: make([]*metrics.Result, b.episodes)}
+	if b.pretrain {
 		t0 := time.Now()
-		p, err := b.runPretrain(opts.seed, rec, st)
+		p, err := b.runPretrain(rec, st)
 		if err != nil {
 			return nil, err
 		}
@@ -331,15 +360,27 @@ func (b batchSpec) pass(opts options, pre *pretrained, rec *recorder, st *stepSt
 		state = out.pre.state
 	}
 	for k := 0; k < b.episodes; k++ {
+		// A traced pass builds once, so no span comes from a discarded build.
+		builds := b.setupBuilds
+		if rec != nil {
+			builds = 1
+		}
+		var ep *episode
+		for i := 0; i < builds; i++ {
+			if ep != nil {
+				ep.sim.Close()
+			}
+			t0 := time.Now()
+			var err error
+			ep, err = b.buildEpisode(opts.seed, k, b.jobs, state, rec, episodeMode{})
+			if err != nil {
+				return nil, err
+			}
+			out.setups = append(out.setups, time.Since(t0).Seconds())
+		}
 		if hooks.before != nil {
 			hooks.before()
 		}
-		t0 := time.Now()
-		ep, err := b.buildEpisode(opts.seed, k, b.jobs, state, rec, episodeMode{})
-		if err != nil {
-			return nil, err
-		}
-		out.setups = append(out.setups, time.Since(t0).Seconds())
 		if rec == nil {
 			out.rounds = append(out.rounds, nil)
 			ep.sim.SetRoundTimingHook(func(sec float64) { out.rounds[k] = append(out.rounds[k], sec) })
@@ -397,16 +438,22 @@ func (b batchSpec) oracleCheck(opts options, first *batchRun) error {
 	return nil
 }
 
-// runBatch measures whole passes over the run's K episodes until the
-// budget is spent. Every pass replays the same inputs and must
-// reproduce the first bit for bit, so the passes execute the same
-// steps and rounds and differ only in what the rest of the machine did
-// meanwhile: each step and each round keeps its fastest repeat.
-// Interference from other tenants only ever adds time, so the fastest
-// repeat is the steadiest estimate of what the program costs.
+// runBatch measures a fixed number of whole passes over the run's K
+// episodes, round(--seconds / passSec). Every pass replays the same
+// inputs and must reproduce the first bit for bit, so the passes
+// execute the same steps and rounds and differ only in what the rest
+// of the machine did meanwhile: each step and each round keeps its
+// fastest repeat. Interference from other tenants only ever adds time,
+// so the fastest repeat is the steadiest estimate of what the program
+// costs; the pass count is fixed so that every commit takes it over the
+// same number of repeats.
 func runBatch(b batchSpec, opts options) (*report, error) {
 	if opts.trace {
 		return b.traced(opts)
+	}
+	want := int(math.Round(opts.seconds / b.passSec))
+	if want < 1 {
+		want = 1
 	}
 	// The heap peak is taken per episode and reported as the median, so
 	// one episode's backlog does not decide a whole run's figure.
@@ -417,34 +464,41 @@ func runBatch(b batchSpec, opts options) (*report, error) {
 		after:  func(*episode) { peaks = append(peaks, heap.peakMB()) },
 	}
 	start := time.Now()
-	first, err := b.pass(opts, nil, nil, nil, hooks)
+	first, err := b.pass(opts, nil, nil, hooks)
 	if err != nil {
 		return nil, err
 	}
-	best := &batchRun{setups: append([]float64(nil), first.setups...)}
+	best := &batchRun{}
 	for k := range first.results {
 		best.stepS = append(best.stepS, append([]float64(nil), first.stepS[k]...))
 		best.rounds = append(best.rounds, append([]float64(nil), first.rounds[k]...))
 	}
+	setups := []float64{first.setupS()}
 	passes, failed := 1, first.failed
-	for time.Since(start).Seconds()-first.pretrainS < opts.seconds {
-		again, err := b.pass(opts, first.pre, nil, nil, hooks)
+	for passes < want && time.Since(start).Seconds() < maxRunFactor*opts.seconds {
+		again, err := b.pass(opts, nil, nil, hooks)
 		if err != nil {
 			return nil, err
+		}
+		if first.pre != nil && !bytes.Equal(first.pre.state, again.pre.state) {
+			return nil, fmt.Errorf("pretraining is not reproducible: a later pass ends in a different scheduler state")
 		}
 		for k, res := range again.results {
 			if !sameResult(first.results[k], res, false) ||
 				len(again.stepS[k]) != len(best.stepS[k]) || len(again.rounds[k]) != len(best.rounds[k]) {
 				return nil, fmt.Errorf("episode %d is not reproducible: a later pass differs from the first", k)
 			}
-			best.setups[k] = math.Min(best.setups[k], again.setups[k])
 			keepFastest(best.stepS[k], again.stepS[k])
 			keepFastest(best.rounds[k], again.rounds[k])
 		}
+		setups = append(setups, again.setupS())
 		passes, failed = passes+1, failed+again.failed
 	}
 	heap.Stop()
-	measured := time.Since(start).Seconds() - first.pretrainS
+	measured := time.Since(start).Seconds()
+	if passes < want {
+		fmt.Fprintf(os.Stderr, "%s: stopped after %d of %d passes at %.0fs\n", b.name, passes, want, measured)
+	}
 	t0 := time.Now()
 	if err := b.oracleCheck(opts, first); err != nil {
 		return nil, err
@@ -460,14 +514,14 @@ func runBatch(b batchSpec, opts options) (*report, error) {
 	for _, res := range first.results {
 		jcts += res.AvgJCTSec
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d passes in %.2fs (pretraining %.2fs before them), %d rounds per pass, oracles %.2fs\n",
-		b.name, passes, measured, first.pretrainS, len(rounds), time.Since(t0).Seconds())
+	fmt.Fprintf(os.Stderr, "%s: %d passes in %.2fs, %d rounds per pass, oracles %.2fs\n",
+		b.name, passes, measured, len(rounds), time.Since(t0).Seconds())
 	return &report{
 		Correct:   true,
 		Attempted: passes * b.episodes * b.jobs,
 		Failed:    failed,
 		Metrics: map[string]metric{
-			"setup_s":          {first.pretrainS + median(best.setups), "s"},
+			"setup_s":          {median(setups), "s"},
 			"throughput_per_s": {float64(b.episodes*b.jobs) / hostS, "1/s"},
 			"latency_p50_ms":   {percentile(rounds, 0.5) * 1e3, "ms"},
 			"peak_heap_mb":     {median(peaks), "MB"},

@@ -15,7 +15,7 @@ import (
 // metrics of the wrapped pass.
 func (b batchSpec) traced(opts options) (*report, error) {
 	t0 := time.Now()
-	plain, err := b.pass(opts, nil, nil, nil, passHooks{})
+	plain, err := b.pass(opts, nil, nil, passHooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +30,7 @@ func (b batchSpec) traced(opts options) (*report, error) {
 	var rl rlCounts
 	records := 0
 	t1 := time.Now()
-	wrapped, err := b.pass(opts, nil, rec, st, passHooks{after: func(ep *episode) {
+	wrapped, err := b.pass(opts, rec, st, passHooks{after: func(ep *episode) {
 		rl.add(ep.sched)
 		if ep.src != nil {
 			records += ep.src.records

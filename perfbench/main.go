@@ -1,7 +1,8 @@
 // Command perfbench is the repository's benchmark: it runs one named
-// workload of the MLFS system for a fixed host-time budget, checks the
-// program's outputs against properties the method must have, and prints
-// one JSON object as the last line of standard output.
+// workload of the MLFS system, a fixed amount of work sized from
+// --seconds, checks the program's outputs against properties the method
+// must have, and prints one JSON object as the last line of standard
+// output.
 //
 //	perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //

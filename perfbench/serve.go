@@ -27,6 +27,7 @@ import (
 	"mlfs/internal/metrics"
 	"mlfs/internal/sched"
 	"mlfs/internal/serve"
+	"mlfs/internal/snapshot"
 	"mlfs/internal/trace"
 )
 
@@ -40,8 +41,10 @@ const (
 	// than the host has CPUs.
 	maxClients = 2
 	// setupBoots is how many times a run boots the service to take the
-	// median set-up time; the last boot serves the measured traffic.
-	setupBoots = 5
+	// median set-up time; the last boot serves the measured traffic. A
+	// boot takes about a millisecond, and the first few boots of a
+	// process run slower than the rest, so the median needs many.
+	setupBoots = 41
 	// bodyPool is the number of distinct job bodies each client cycles
 	// through; they are generated before the clock starts.
 	bodyPool = 2048
@@ -96,10 +99,14 @@ func serveConfig(journalPath string, rec *recorder) serve.Config {
 	}
 }
 
-// tracedRound times a scheduling round inside the service's loop.
+// tracedRound times a scheduling round inside the service's loop. It
+// passes on every optional interface fifo implements: the change
+// journal (Dirty), on which fifo's no-op-round proof rests, the state
+// encoding, and Close. drainAndCheck shows that the shim schedules as
+// the plain scheduler does, skipped rounds included.
 type tracedRound struct {
 	rec *recorder
-	s   sched.Scheduler
+	s   *baselines.FIFO
 }
 
 func (t *tracedRound) Name() string { return t.s.Name() }
@@ -110,11 +117,23 @@ func (t *tracedRound) Schedule(ctx *sched.Context) {
 	t.rec.end(id)
 }
 
+func (t *tracedRound) Dirty(jobs []*job.Job)                { t.s.Dirty(jobs) }
+func (t *tracedRound) EncodeState(w *snapshot.Writer)       { t.s.EncodeState(w) }
+func (t *tracedRound) DecodeState(r *snapshot.Reader) error { return t.s.DecodeState(r) }
+
+// Close closes the wrapped scheduler when it holds resources.
+func (t *tracedRound) Close() {
+	if c, ok := any(t.s).(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
 // liveServer is one booted service on a loopback port.
 type liveServer struct {
 	srv     *serve.Server
 	url     string
 	journal string
+	traced  bool // the scheduler is wrapped in tracedRound
 	served  chan error
 }
 
@@ -131,7 +150,7 @@ func bootServer(dir string, rec *recorder) (*liveServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ls := &liveServer{srv: srv, url: "http://" + ln.Addr().String(), journal: journal, served: make(chan error, 1)}
+	ls := &liveServer{srv: srv, url: "http://" + ln.Addr().String(), journal: journal, traced: rec != nil, served: make(chan error, 1)}
 	srv.Start()
 	go func() { ls.served <- srv.Serve(ln) }()
 	c := &http.Client{Timeout: 5 * time.Second}
@@ -533,6 +552,20 @@ func (ph *servePhase) drainAndCheck(ls *liveServer, opts options) error {
 	if !sameResult(ph.result, oracle, true) {
 		return fmt.Errorf("drained /v1/result differs from the batch oracle over the journal")
 	}
+	if ls.traced {
+		// The live loop's round structure differs from the batch
+		// oracle's by design, hence ZeroVolatile above. Over the same
+		// journal in batch, though, the shim must reproduce the plain
+		// scheduler exactly, skipped rounds and dirty-job counts
+		// included, or the traced figures are not the program's.
+		shim, err := serve.Oracle(serveConfig("", newRecorder()), records, cancels)
+		if err != nil {
+			return fmt.Errorf("oracle with the timing shim: %w", err)
+		}
+		if !sameResult(shim, oracle, false) {
+			return fmt.Errorf("the timing shim schedules differently from plain fifo over the same journal")
+		}
+	}
 	return nil
 }
 
@@ -600,6 +633,9 @@ func runServe(opts options) (*report, error) {
 	var setups []float64
 	var ls *liveServer
 	for i := 0; i < setupBoots; i++ {
+		// Every boot starts from a collected heap, so no boot pays for
+		// the collection of its predecessors' garbage.
+		runtime.GC()
 		t0 := time.Now()
 		s, err := bootServer(filepath.Join(dir, fmt.Sprintf("boot%d", i)), nil)
 		if err != nil {
@@ -642,6 +678,48 @@ func runServe(opts options) (*report, error) {
 	}, nil
 }
 
+// shimIndex is the sub-seed index of shimCheck's stream.
+const shimIndex = 1 << 21
+
+// shimCheck replays a sparse seeded stream, one job every ten simulated
+// minutes on the workload's cluster with demand wobble off, through the
+// batch oracle with and without the timing shim. fifo may skip a round
+// only while its change journal is empty and the cluster epoch has not
+// moved; with wobble on, every tick with a placed job moves the epoch,
+// so the traffic phase never skips and cannot show the shim's effect.
+// Here most rounds are provable no-ops and every arrival follows one,
+// so a shim that lost Dirty would skip the rounds that should place the
+// arrivals. The two results must match bit for bit, skipped rounds
+// included.
+func shimCheck(seed int64) error {
+	rng := rand.New(rand.NewSource(subSeed(seed, shimIndex)))
+	records := make([]trace.Record, 200)
+	for i := range records {
+		records[i] = trace.SampleRecord(rng, trace.GenConfig{}, int64(i+1), float64(i)*600)
+		records[i].Seed = rng.Int63n(1<<62) + 1
+	}
+	config := func(rec *recorder) serve.Config {
+		cfg := serveConfig("", rec)
+		cfg.DemandWobble = -1 // off
+		return cfg
+	}
+	plain, err := serve.Oracle(config(nil), records, nil)
+	if err != nil {
+		return err
+	}
+	shim, err := serve.Oracle(config(newRecorder()), records, nil)
+	if err != nil {
+		return fmt.Errorf("oracle with the timing shim: %w", err)
+	}
+	if plain.Counters.SkippedRounds == 0 {
+		return fmt.Errorf("shim check: the sparse stream skipped no round")
+	}
+	if !sameResult(shim, plain, false) {
+		return fmt.Errorf("the timing shim schedules the sparse stream differently from plain fifo")
+	}
+	return nil
+}
+
 // serveTraced runs the closed loop against a plain service and then
 // against one whose scheduler is wrapped in a timing shim. Each run's
 // drained result must equal the batch oracle with the plain scheduler
@@ -651,6 +729,9 @@ func serveTraced(opts options, dir string) (*report, error) {
 	// Two phases of half the traffic each keep the traced run within the
 	// time of a plain one.
 	opts.seconds /= 2
+	if err := shimCheck(opts.seed); err != nil {
+		return nil, err
+	}
 	var rate [2]float64
 	var traced *servePhase
 	rec := newRecorder()

@@ -157,7 +157,8 @@ func (s *tracedMLFS) DecodeState(r *snapshot.Reader) error {
 	return s.c.DecodeState(r)
 }
 
-// tracedMLFH times MLF-H's scheduling round.
+// tracedMLFH times MLF-H's scheduling round and passes on the optional
+// interfaces MLF-H implements.
 type tracedMLFH struct {
 	rec *recorder
 	h   *core.MLFH
@@ -173,7 +174,9 @@ func (s *tracedMLFH) Schedule(ctx *sched.Context) {
 	s.rec.end(round)
 }
 
-func (s *tracedMLFH) Dirty(jobs []*job.Job) { s.h.Dirty(jobs) }
+func (s *tracedMLFH) Dirty(jobs []*job.Job)                { s.h.Dirty(jobs) }
+func (s *tracedMLFH) EncodeState(w *snapshot.Writer)       { s.h.EncodeState(w) }
+func (s *tracedMLFH) DecodeState(r *snapshot.Reader) error { return s.h.DecodeState(r) }
 
 // tracedSource times record ingestion from a streaming source.
 type tracedSource struct {

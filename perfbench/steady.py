@@ -7,7 +7,7 @@ workload and end-to-end metric it prints the median, the first and third
 quartiles (statistics.quantiles(values, n=4)) and the spread
 (Q3 - Q1) / median, and it checks that
 
-  * every spread except setup_s's stays within the metric's bound,
+  * every spread stays within the metric's bound,
   * each later set's median is no worse than the first set's by more
     than the bound (setup_s included),
   * the share of failed operations is the same in every set.
@@ -93,12 +93,11 @@ def main():
                 vals = [r["metrics"][name]["value"] for r in rs]
                 med, q1, q3, spread = summarize(vals)
                 verdict = []
-                if name != "setup_s":
-                    if spread > m["bound"]:
-                        verdict.append("SPREAD>BOUND")
-                        ok = False
-                    elif spread > m["bound"] / 3:
-                        verdict.append("spread>bound/3")
+                if spread > m["bound"]:
+                    verdict.append("SPREAD>BOUND")
+                    ok = False
+                elif spread > m["bound"] / 3:
+                    verdict.append("spread>bound/3")
                 if s == 0:
                     first_med[name] = med
                 else:
